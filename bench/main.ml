@@ -904,6 +904,95 @@ let occurrence_alloc () =
    allocation-free in steady state) and ns per document. run_batch must
    reproduce the per-run match sets exactly; a mismatch fails the run. *)
 
+(* The deep row: chains 400-1500 deep over a 32-tag recursive DTD, so
+   every path repeats each tag ~30 times. It records the relative join's
+   pair visits beside the all-pairs loop's bound sum l(l-1)/2 (their ratio
+   is scale-free — CI gates it), and checks every run against the
+   list-slot reference, which still walks all pairs: same pids, same
+   packed pairs in the same order, same probe/hit totals. *)
+let predicate_match_deep () =
+  let module PI = Pf_core.Predicate_index in
+  let module Ref = Pf_difftest.Predicate_ref in
+  let tags = List.init 32 (Printf.sprintf "d%d") in
+  let dtd =
+    Dtd.make ~root:"d0" (List.map (fun name -> { Dtd.name; children = tags; attrs = [] }) tags)
+  in
+  let m = PI.make_metrics () and rm = Ref.make_metrics () in
+  let idx = PI.create ~metrics:m () and rdx = Ref.create ~metrics:rm () in
+  List.iter
+    (fun q ->
+      match Pf_core.Encoder.encode q with
+      | enc ->
+        Array.iter
+          (fun p ->
+            ignore (PI.intern idx p : int);
+            ignore (Ref.intern rdx p : int))
+          enc.Pf_core.Encoder.preds
+      | exception _ -> ())
+    (Xpath_gen.generate dtd { Presets.paper_queries with Xpath_gen.count = 300; seed = !seed });
+  let pubs =
+    Array.of_list
+      (List.concat_map
+         (fun k ->
+           let depth = 400 + (k * 1100 / 7) in
+           let d =
+             Xml_gen.generate dtd
+               { Xml_gen.default with max_levels = depth; max_fanout = 1; seed = !seed + k }
+           in
+           List.map Pf_core.Publication.of_path (Pf_xml.Path.of_document d))
+         (List.init 8 Fun.id))
+  in
+  let npubs = Array.length pubs in
+  let all_pairs =
+    Array.fold_left
+      (fun acc (p : Pf_core.Publication.t) ->
+        let l = p.Pf_core.Publication.length in
+        acc + (l * (l - 1) / 2))
+      0 pubs
+  in
+  let res = PI.create_results () and rres = Ref.create_results () in
+  let identical = ref true in
+  Array.iter
+    (fun pub ->
+      PI.run idx res pub;
+      Ref.run rdx rres pub;
+      for pid = 0 to PI.size idx - 1 do
+        if PI.get_packed res pid <> Ref.get_packed rres pid then identical := false
+      done)
+    pubs;
+  let get = Pf_obs.Counter.get in
+  if get m.PI.probes <> get rm.Ref.probes || get m.PI.hits <> get rm.Ref.hits then
+    identical := false;
+  let per_doc c = float c /. float npubs in
+  (* one pass's counts, read before the timed passes add to them *)
+  let visits = get m.PI.pair_visits and probes = get m.PI.probes and hits = get m.PI.hits in
+  let reps = 3 in
+  let (), ms = B.time_ms (fun () -> for _ = 1 to reps do Array.iter (PI.run idx res) pubs done) in
+  let ns_per_doc = ms *. 1e6 /. float (reps * npubs) in
+  let ratio = float visits /. float all_pairs in
+  Printf.printf "\n== predicate-match (deep): %d predicates, %d publications, depth 400-1500 ==\n"
+    (PI.size idx) npubs;
+  Printf.printf "%18s %14.0f\n" "pair visits/doc" (per_doc visits);
+  Printf.printf "%18s %14.0f\n" "all pairs/doc" (per_doc all_pairs);
+  Printf.printf "%18s %14.4f\n" "visits/all pairs" ratio;
+  Printf.printf "%18s %14.0f\n" "hits/doc" (per_doc hits);
+  Printf.printf "%18s %14.0f\n" "ns/doc" ns_per_doc;
+  Printf.printf "%18s %14b\n" "= reference" !identical;
+  record "deep"
+    (J.Obj
+       [
+         "publications", J.Int npubs;
+         "predicates", J.Int (PI.size idx);
+         "pair_visits_per_doc", J.Float (per_doc visits);
+         "all_pairs_per_doc", J.Float (per_doc all_pairs);
+         "visits_over_all_pairs", J.Float ratio;
+         "probes_per_doc", J.Float (per_doc probes);
+         "hits_per_doc", J.Float (per_doc hits);
+         "ns_per_doc", J.Float ns_per_doc;
+         "identical_to_reference", J.Bool !identical;
+       ]);
+  !identical
+
 let predicate_match () =
   let module PI = Pf_core.Predicate_index in
   let dtd = dtd_of "nitf" in
@@ -1003,8 +1092,13 @@ let predicate_match () =
   record "ns_per_doc_single" (J.Float single_ns);
   record "ns_per_doc_batched" (J.Float batched_ns);
   record "identical_matches" (J.Bool !identical);
+  let deep_identical = predicate_match_deep () in
   if not !identical then begin
     Printf.printf "predicate-match: BATCHED MATCH-SET MISMATCH against per-run results\n";
+    exit 1
+  end;
+  if not deep_identical then begin
+    Printf.printf "predicate-match: DEEP ROW DIVERGES from the all-pairs reference\n";
     exit 1
   end
 

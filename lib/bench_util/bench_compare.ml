@@ -50,7 +50,7 @@ let classify ~exp path =
     | Some i -> String.sub path (i + 1) (String.length path - i - 1)
     | None -> path
   in
-  if base = "identical_matches" then Must_hold
+  if base = "identical_matches" || base = "identical_to_reference" then Must_hold
   else if base = "hit_ratio" then Free_higher
   else if has_sub ~sub:"minor_words" base || has_sub ~sub:"major_words" base
           || has_sub ~sub:"gc_" base
@@ -58,6 +58,12 @@ let classify ~exp path =
   else if base = "probes_per_doc" || base = "hits_per_doc" then
     (* deterministic work profile of the predicate stage on the seeded
        workload: growth means the index got less selective *)
+    Free_lower
+  else if base = "pair_visits_per_doc" || base = "visits_over_all_pairs" then
+    (* the relative join's walked pairs, absolute and as a share of the
+       all-pairs bound: growth means the join lost its output
+       sensitivity. The bound itself ([all_pairs_per_doc]) is a property
+       of the workload and is not compared. *)
     Free_lower
   else if base = "physical_over_logical" || base = "covers_probes_per_expr" then
     (* deterministic sharing profile of the subsumption index on the

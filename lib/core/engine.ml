@@ -389,24 +389,23 @@ let fill_chains t res pids =
 let cache_key t c (pub : Publication.t) =
   let buf = c.pc_key in
   Buffer.clear buf;
-  let tuples = pub.Publication.tuples in
-  Buffer.add_int32_le buf (Int32.of_int pub.Publication.length);
-  Array.iter
-    (fun (tu : Publication.tuple) ->
-      Buffer.add_int32_le buf (Int32.of_int tu.Publication.tag))
-    tuples;
+  let tuples = pub.Publication.tuples and l = pub.Publication.length in
+  Buffer.add_int32_le buf (Int32.of_int l);
+  for i = 0 to l - 1 do
+    Buffer.add_int32_le buf (Int32.of_int tuples.(i).Publication.tag)
+  done;
   if t.constrained then
-    Array.iter
-      (fun (tu : Publication.tuple) ->
-        Buffer.add_int32_le buf (Int32.of_int (List.length tu.Publication.attrs));
-        List.iter
-          (fun (n, v) ->
-            Buffer.add_int32_le buf (Int32.of_int (String.length n));
-            Buffer.add_string buf n;
-            Buffer.add_int32_le buf (Int32.of_int (String.length v));
-            Buffer.add_string buf v)
-          tu.Publication.attrs)
-      tuples;
+    for i = 0 to l - 1 do
+      let attrs = tuples.(i).Publication.attrs in
+      Buffer.add_int32_le buf (Int32.of_int (List.length attrs));
+      List.iter
+        (fun (n, v) ->
+          Buffer.add_int32_le buf (Int32.of_int (String.length n));
+          Buffer.add_string buf n;
+          Buffer.add_int32_le buf (Int32.of_int (String.length v));
+          Buffer.add_string buf v)
+        attrs
+    done;
   Buffer.contents buf
 
 (* Core per-document matching loop; [iter_pubs] drives the document's
@@ -450,10 +449,9 @@ let match_iter t iter_pubs =
     ||
     (* fixed-width symbol encoding: injective, no string contents *)
     let buf = Buffer.create 64 in
-    Array.iter
-      (fun (tu : Publication.tuple) ->
-        Buffer.add_int32_le buf (Int32.of_int tu.Publication.tag))
-      pub.Publication.tuples;
+    for i = 0 to pub.Publication.length - 1 do
+      Buffer.add_int32_le buf (Int32.of_int pub.Publication.tuples.(i).Publication.tag)
+    done;
     let key = Buffer.contents buf in
     if Hashtbl.mem t.seen_paths key then begin
       Pf_obs.Counter.incr t.m.dedup_hits;
@@ -840,7 +838,7 @@ let filter ?variant ?attr_mode ?collect_stats ?dedup_paths ?path_cache
 
     (* [Tree] batches the predicate stage across each document's
        publications; the SAX modes match per document — [Stream]'s arena
-       publications alias per-length slots, so a deferred batch would read
+       publications are one reused record, so a deferred batch would read
        overwritten tuples *)
     let match_batch =
       match stream with

@@ -236,7 +236,8 @@ val occurrence_runs : t -> int
       ["dedup_path_hits"],
       ["path_cache_hits"], ["path_cache_misses"], ["path_cache_evictions"],
       ["path_cache_invalidations"], ["predicate_probes"],
-      ["predicate_hits"], ["occurrence_runs"], ["backtrack_steps"],
+      ["predicate_hits"], ["predicate_pair_visits"], ["occurrence_runs"],
+      ["backtrack_steps"],
       ["prefix_cover_skips"], ["access_skips"];
     - histogram ["chain_length"] (predicate chain length per occurrence
       determination run);

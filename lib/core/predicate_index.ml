@@ -2,8 +2,13 @@ type pid = int
 
 (* Stage counters, typically registered in the owning engine's registry:
    [probes] counts candidate predicate inspections (arena slots visited by
-   a run), [hits] the occurrence pairs recorded. *)
-type metrics = { probes : Pf_obs.Counter.t; hits : Pf_obs.Counter.t }
+   a run), [hits] the occurrence pairs recorded, [pair_visits] the tuple
+   pairs the relative join walked. *)
+type metrics = {
+  probes : Pf_obs.Counter.t;
+  hits : Pf_obs.Counter.t;
+  pair_visits : Pf_obs.Counter.t;
+}
 
 let make_metrics ?registry () =
   {
@@ -13,6 +18,9 @@ let make_metrics ?registry () =
     hits =
       Pf_obs.Counter.make ?registry "predicate_hits"
         ~help:"occurrence pairs recorded during predicate matching";
+    pair_visits =
+      Pf_obs.Counter.make ?registry "predicate_pair_visits"
+        ~help:"tuple pairs walked by the relative-predicate join";
   }
 
 let src = Pf_obs.Events.src "predicate_index" ~doc:"Predicate index interning"
@@ -65,9 +73,9 @@ type flat = {
       (* first symbol -> dense row index among relative predicates, -1 if
          no relative predicate names it; length nsym *)
   rel_pair : int array;
-      (* row-major [row * nsym + second symbol] -> dense pair id, -1;
-         replaces the per-symbol hashtable probe of the O(n^2) tuple-pair
-         loop with one array read *)
+      (* row-major [row * nsym + second symbol] -> dense pair id, -1: one
+         array read tells the relative join whether a (tuple, tag ahead)
+         combination has any predicate, and which *)
   cmask : int array;
       (* packed per-pid constraint bitmap (32 bits per element): bit set
          iff the pid carries attribute constraints, so the unconstrained
@@ -274,13 +282,14 @@ let rebuild t =
 (* ------------------------------------------------------------------ *)
 (* Predicate matching                                                   *)
 
-(* Occurrence pairs are packed into single immediate ints ((o1 << 16) | o2)
+(* Occurrence pairs are packed into single immediate ints ((o1 << 31) | o2)
    so the chain search compares unboxed ints. Occurrence numbers are
-   bounded by the document path length, far below 2^16. *)
-let pack o1 o2 = (o1 lsl 16) lor o2
+   bounded by the document path length; two 31-bit fields fit a 63-bit
+   int, so any path shorter than 2^31 packs losslessly. *)
+let pack o1 o2 = (o1 lsl 31) lor o2
 
-let packed_first p = p lsr 16
-let packed_second p = p land 0xffff
+let packed_first p = p lsr 31
+let packed_second p = p land 0x7fff_ffff
 
 (* Result pairs live in a flat cell arena reused across documents: cell [c]
    occupies slots [2c] (packed pair) and [2c+1] (index of the next cell of
@@ -298,6 +307,16 @@ type results = {
       (* [run]'s scratch counters — fields rather than refs so a run
          allocates nothing; flushed to the metrics once per run *)
   mutable r_hits : int;
+  mutable r_visits : int;
+  (* relative-join scratch, sized by [run_flat] *)
+  mutable first : int array;
+      (* symbol -> index of its next tuple not yet passed by the forward
+         pass, -1 if none. Every entry is -1 between runs, so a run never
+         clears it *)
+  mutable nxt : int array; (* tuple index -> next index with the same tag, -1 *)
+  mutable ahead : int array;
+      (* stack of the distinct symbols with a tuple not yet passed; the
+         symbol whose last tuple comes first is on top *)
 }
 
 let create_results () =
@@ -310,6 +329,10 @@ let create_results () =
     matched = 0;
     r_probes = 0;
     r_hits = 0;
+    r_visits = 0;
+    first = [||];
+    nxt = [||];
+    ahead = [||];
   }
 
 let ensure_capacity res n =
@@ -400,8 +423,30 @@ let visit t cmask tpids res first second packed lo hi =
     end
   done
 
+(* The largest tuple distance any predicate of relative pair [k] accepts:
+   unbounded once it has a >= predicate (a row's width is its largest
+   value plus one), else its largest = value. *)
+let reach rel_eq rel_ge k =
+  if rel_ge.rows.(k + 1) - rel_ge.rows.(k) > 1 then max_int
+  else rel_eq.rows.(k + 1) - rel_eq.rows.(k) - 1
+
 (* Match one publication against the current flat image. The caller has
-   already reset the probe/hit scratch and ensured the image is fresh. *)
+   already reset the scratch counters and ensured the image is fresh.
+
+   Relative predicates are a join over same-tag chains rather than a loop
+   over every later tuple. A backward pass links each tuple to the next
+   one with its tag ([nxt]), points [first] at each tag's first tuple and
+   stacks the distinct tags present ([ahead]) as it meets their last
+   tuples. The forward pass moves tuple [i] out of its own chain — after
+   a tag's last tuple that pops the tag, which is on top because the
+   stack was pushed in reverse order of last tuples — then, for each
+   distinct tag still ahead that forms a stored pair with [i]'s tag,
+   walks that tag's chain until the pair's reach.
+   Per pid, pairs still arrive i-ascending then j-ascending — the order of
+   the all-pairs loop this replaces — so match sets, pair order and
+   probe/hit totals are unchanged. The work per tuple is the number of
+   distinct tags ahead (never more than the tuples ahead) plus the pairs
+   within reach, instead of every later tuple. *)
 let run_flat t res (pub : Publication.t) =
   ensure_capacity res (Vec.length t.preds);
   res.epoch <- res.epoch + 1;
@@ -420,15 +465,37 @@ let run_flat t res (pub : Publication.t) =
     visit t cmask lt.tpids res [] [] (pack 0 0) lt.starts.(1) lt.starts.(stop + 1);
   let tuples = pub.Publication.tuples in
   let nsym = fl.nsym in
+  if Array.length res.first < nsym then begin
+    res.first <- Array.make nsym (-1);
+    res.ahead <- Array.make nsym 0
+  end;
+  if Array.length res.nxt < l then res.nxt <- Array.make (max l (2 * Array.length res.nxt)) (-1);
+  let first = res.first and nxt = res.nxt and ahead = res.ahead in
+  let n_ahead = ref 0 and visits = ref 0 in
+  (* a symbol interned after the last rebuild cannot be named by any
+     stored predicate, so it joins no chain *)
+  for j = l - 1 downto 0 do
+    let sym = tuples.(j).Publication.tag in
+    if sym < nsym then begin
+      if first.(sym) < 0 then begin
+        ahead.(!n_ahead) <- sym;
+        incr n_ahead
+      end;
+      nxt.(j) <- first.(sym);
+      first.(sym) <- j
+    end
+  done;
   let abs_eq = fl.abs_eq and abs_ge = fl.abs_ge and eop = fl.eop in
   let rel_eq = fl.rel_eq and rel_ge = fl.rel_ge in
   let rel_row = fl.rel_row and rel_pair = fl.rel_pair in
   for i = 0 to l - 1 do
     let tu = tuples.(i) in
     let sym = tu.Publication.tag in
-    (* a symbol interned after the last rebuild cannot be named by any
-       stored predicate — neither as a first nor (below) second variable *)
     if sym < nsym then begin
+      (* chains now start after [i]; the last tuple of a tag leaves -1
+         and pops the tag *)
+      first.(sym) <- nxt.(i);
+      if nxt.(i) < 0 then decr n_ahead;
       let o = tu.Publication.occurrence in
       let attrs = tu.Publication.attrs in
       let pos = tu.Publication.pos in
@@ -454,47 +521,56 @@ let run_flat t res (pub : Publication.t) =
         visit t cmask eop.tpids res attrs attrs packed
           eop.starts.(base + 1)
           eop.starts.(base + stop + 1);
-      (* relative predicates: pair this tuple with every later tuple; the
-         dense row/pair arrays replace the per-symbol hashtable probe *)
+      (* relative predicates: walk the chain of each tag ahead that forms
+         a stored pair with this one, nearest tuple first *)
       let r = rel_row.(sym) in
-      if r >= 0 then begin
-        let prow = r * nsym in
-        for j = i + 1 to l - 1 do
-          let tu2 = tuples.(j) in
-          let s2 = tu2.Publication.tag in
-          if s2 < nsym then begin
-            let k = rel_pair.(prow + s2) in
-            if k >= 0 then begin
+      if r >= 0 then
+        for a = 0 to !n_ahead - 1 do
+          let k = rel_pair.((r * nsym) + ahead.(a)) in
+          if k >= 0 then begin
+            let reach = reach rel_eq rel_ge k in
+            let j = ref first.(ahead.(a)) in
+            while !j >= 0 do
+              let tu2 = tuples.(!j) in
               let d = tu2.Publication.pos - pos in
-              let packed2 = pack o tu2.Publication.occurrence in
-              let attrs2 = tu2.Publication.attrs in
-              let base = rel_eq.rows.(k) in
-              if d < rel_eq.rows.(k + 1) - base then begin
-                let col = base + d in
-                visit t cmask rel_eq.tpids res attrs attrs2 packed2
-                  rel_eq.starts.(col)
-                  rel_eq.starts.(col + 1)
-              end;
-              let base = rel_ge.rows.(k) in
-              let stop = min d (rel_ge.rows.(k + 1) - base - 1) in
-              if stop >= 1 then
-                visit t cmask rel_ge.tpids res attrs attrs2 packed2
-                  rel_ge.starts.(base + 1)
-                  rel_ge.starts.(base + stop + 1)
-            end
+              if d > reach then j := -1
+              else begin
+                incr visits;
+                let packed2 = pack o tu2.Publication.occurrence in
+                let attrs2 = tu2.Publication.attrs in
+                let base = rel_eq.rows.(k) in
+                if d < rel_eq.rows.(k + 1) - base then begin
+                  let col = base + d in
+                  visit t cmask rel_eq.tpids res attrs attrs2 packed2
+                    rel_eq.starts.(col)
+                    rel_eq.starts.(col + 1)
+                end;
+                let base = rel_ge.rows.(k) in
+                let stop = min d (rel_ge.rows.(k + 1) - base - 1) in
+                if stop >= 1 then
+                  visit t cmask rel_ge.tpids res attrs attrs2 packed2
+                    rel_ge.starts.(base + 1)
+                    rel_ge.starts.(base + stop + 1);
+                j := nxt.(!j)
+              end
+            done
           end
         done
-      end
     end
-  done
+  done;
+  res.r_visits <- !visits
 
-let run t res pub =
-  if t.dirty then rebuild t;
+let run_one t res pub =
   res.r_probes <- 0;
   res.r_hits <- 0;
   run_flat t res pub;
   Pf_obs.Counter.add t.m.probes res.r_probes;
-  Pf_obs.Counter.add t.m.hits res.r_hits
+  Pf_obs.Counter.add t.m.hits res.r_hits;
+  Pf_obs.Counter.add t.m.pair_visits res.r_visits
+
+let run t res pub =
+  if t.dirty then rebuild t;
+  run_one t res pub
 
 let run_batch t ress pubs =
   let n = Array.length pubs in
@@ -505,10 +581,5 @@ let run_batch t ress pubs =
      per-document work *)
   if t.dirty then rebuild t;
   for i = 0 to n - 1 do
-    let res = ress.(i) in
-    res.r_probes <- 0;
-    res.r_hits <- 0;
-    run_flat t res pubs.(i);
-    Pf_obs.Counter.add t.m.probes res.r_probes;
-    Pf_obs.Counter.add t.m.hits res.r_hits
+    run_one t ress.(i) pubs.(i)
   done

@@ -9,8 +9,12 @@
     shared flat pid arena. An = probe is a bounds check plus one
     contiguous slice; a >= probe over values [1..stop] collapses to a
     single contiguous arena slice because a row's columns are
-    value-ascending; relative predicates dispatch through dense
-    row/pair-id arrays instead of per-symbol hashtables; and a packed
+    value-ascending; relative predicates are a join over the
+    publication's same-tag chains, walking from each tuple only the
+    chains of tags ahead that form a stored pair with its tag, and only
+    as far as that pair's largest distance — per tuple, the distinct
+    tags ahead plus the pairs within reach, rather than every later
+    tuple; and a packed
     per-pid constraint bitmap keeps the unconstrained common case away
     from the constraint vectors. The inner match loop is sequential array
     walks with no boxing, no hashing and no closures.
@@ -23,14 +27,20 @@
 
 type pid = int
 
-type metrics = { probes : Pf_obs.Counter.t; hits : Pf_obs.Counter.t }
+type metrics = {
+  probes : Pf_obs.Counter.t;
+  hits : Pf_obs.Counter.t;
+  pair_visits : Pf_obs.Counter.t;
+}
 (** Stage counters: [probes] counts candidate predicate inspections
     (slot-list entries visited by {!run}), [hits] the occurrence pairs
-    recorded. *)
+    recorded, [pair_visits] the tuple pairs the relative-predicate join
+    walked (at most [l(l-1)/2] per publication of length [l], usually far
+    fewer). *)
 
 val make_metrics : ?registry:Pf_obs.Registry.t -> unit -> metrics
-(** Counters named ["predicate_probes"] / ["predicate_hits"], registered
-    in [registry] when given. *)
+(** Counters named ["predicate_probes"] / ["predicate_hits"] /
+    ["predicate_pair_visits"], registered in [registry] when given. *)
 
 type t
 
@@ -84,7 +94,7 @@ val get : results -> pid -> (int * int) list
     tests and explanation output, not the match loop. *)
 
 val get_packed : results -> pid -> int list
-(** Like {!get} but with each pair packed as [(o1 lsl 16) lor o2] (see
+(** Like {!get} but with each pair packed as [(o1 lsl 31) lor o2] (see
     {!packed_first}/{!packed_second}). Allocates the list. *)
 
 val iter_pairs : results -> pid -> (int -> unit) -> unit
@@ -105,7 +115,11 @@ val cells : results -> int array
 
 val packed_first : int -> int
 val packed_second : int -> int
+
 val pack : int -> int -> int
+(** [pack o1 o2] packs an occurrence pair into one immediate int: two
+    31-bit fields, so every occurrence number below [2^31] round-trips
+    through {!packed_first}/{!packed_second}. *)
 
 val is_matched : results -> pid -> bool
 

@@ -21,9 +21,15 @@ type tuple = {
     are never mutated afterwards and are safe to retain. *)
 
 type t = {
-  length : int;
-  tuples : tuple array;  (** in position order; [tuples.(i).pos = i + 1] *)
-  structure : int array;  (** the structure tuple [<m1, ..., mn>] *)
+  mutable length : int;
+      (** mutable only so the streaming {!arena} can reuse one publication
+          for every path *)
+  tuples : tuple array;
+      (** in position order; [tuples.(i).pos = i + 1]. Only the first
+          [length] entries belong to the publication: an {!arena}
+          publication's array is longer. Iterate to [length], never to
+          [Array.length tuples]. *)
+  structure : int array;  (** the structure tuple [<m1, ..., mn>]; same bound *)
   mutable pos_index : (int, int) Hashtbl.t option;
       (** packed [(tag, occurrence)] -> [pos], built lazily by
           {!pos_of_occurrence}; [None] until the first lookup *)
@@ -37,20 +43,22 @@ val of_tags : string list -> t
 
 type arena
 (** Reusable publication storage for the fully streaming match path: one
-    tuple record per depth, shared by one cached publication per path
-    length, so a step stack streamed out of {!Pf_xml.Path.stream} becomes
-    a publication with zero allocation once the arena is warm. Not
-    domain-safe; use one arena per engine. *)
+    tuple record per depth and one structure array, shared by a single
+    publication whose [length] is set per path, so a step stack streamed
+    out of {!Pf_xml.Path.stream} becomes a publication with zero
+    allocation once the arena is warm, and the arena holds O(depth)
+    words after a path of that depth. Not domain-safe; use one arena per
+    engine. *)
 
 val create_arena : unit -> arena
 
 val of_steps : arena -> Pf_xml.Path.step array -> int -> t
-(** [of_steps ar steps n] refills the arena's length-[n] publication from
-    [steps.(0 .. n - 1)] (tag symbol, occurrence, attributes, child index)
-    and returns it. The returned publication — tuples, structure array and
-    lazy position index included — is overwritten by the next call and
-    must not be retained; the attribute lists and strings it points at are
-    immutable and safely shared. *)
+(** [of_steps ar steps n] refills the arena's publication from
+    [steps.(0 .. n - 1)] (tag symbol, occurrence, attributes, child index),
+    sets its [length] to [n] and returns it. The returned publication —
+    length, tuples, structure array and lazy position index included — is
+    overwritten by the next call and must not be retained; the attribute
+    lists and strings it points at are immutable and safely shared. *)
 
 val pos_of_occurrence : t -> tag:Symbol.t -> occurrence:int -> int option
 (** Position of the [occurrence]-th occurrence of [tag], if any — the

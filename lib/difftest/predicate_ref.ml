@@ -4,10 +4,12 @@
    test-only reference so the flat implementation in
    {!Pf_core.Predicate_index} can be checked for byte-identical behaviour
    (match sets, pair order, probe/hit totals) by the equivalence property
-   in the test suite. The only changes from the historical code are the
-   two micro-cleanups the rewrite subsumed: [run] reads
-   [pub.Publication.length] once, and the length-table bound is hoisted
-   out of its loop. *)
+   in the test suite. Its relative loop is the historical all-pairs one,
+   which the chain join of the flat index must reproduce pair for pair.
+   The only changes from the historical code are the two micro-cleanups
+   the rewrite subsumed ([run] reads [pub.Publication.length] once, and
+   the length-table bound is hoisted out of its loop) and the pair
+   packing, widened to 31-bit fields with the flat index's. *)
 
 open Pf_core
 
@@ -152,10 +154,10 @@ let intern t p =
    identical to {!Pf_core.Predicate_index.results} so pair order and cell
    layout can be compared one to one. *)
 
-let pack o1 o2 = (o1 lsl 16) lor o2
+let pack o1 o2 = (o1 lsl 31) lor o2
 
-let packed_first p = p lsr 16
-let packed_second p = p land 0xffff
+let packed_first p = p lsr 31
+let packed_second p = p land 0x7fff_ffff
 
 type results = {
   mutable epoch : int;

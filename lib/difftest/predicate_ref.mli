@@ -3,8 +3,10 @@
     This is the predicate index as it stood before the cache-flat rewrite
     of {!Pf_core.Predicate_index}: per-operator vectors of pid lists
     indexed by predicate value, per-symbol hashtables for relative
-    dispatch. It is kept verbatim (modulo two micro-cleanups the rewrite
-    subsumed) so equivalence properties can check the flat implementation
+    dispatch, and the all-pairs relative loop. It is kept verbatim
+    (modulo two micro-cleanups the rewrite subsumed, and pair packing
+    widened to 31-bit fields with the flat index's) so equivalence
+    properties can check the flat implementation
     against it — same pids, same occurrence pairs in the same order, same
     probe/hit counter totals — under random predicate sets, documents and
     re-interning churn. Not exported outside the test universe; never use

@@ -121,10 +121,10 @@ type scanner = {
   mutable sk_cells : scan_cell array;
   mutable sk_ncells : int;  (* cells initialized *)
   mutable sk_depth : int;
-  (* per-depth reusable emission targets: [sk_emit_paths.(d)] is a path of
-     length d+1 whose steps array is [sk_emit_steps.(d)] *)
-  mutable sk_emit_steps : step array array;
+  mutable sk_emit : step array;  (* [stream]'s shared emission buffer *)
   mutable sk_emit_paths : t array;
+      (* [scan]'s reusable path record per length ([sk_emit_paths.(d)] has
+         d+1 steps), created on the first path of that length *)
   (* bounded span -> canonical-string pool for trimmed element text *)
   sk_txt_keys : string array;  (* pool_cap slots; "" = empty *)
   mutable sk_txt_size : int;
@@ -139,7 +139,7 @@ let create_scanner () =
     sk_cells = [||];
     sk_ncells = 0;
     sk_depth = 0;
-    sk_emit_steps = [||];
+    sk_emit = [||];
     sk_emit_paths = [||];
     sk_txt_keys = Array.make pool_cap "";
     sk_txt_size = 0;
@@ -170,20 +170,30 @@ let ensure_cell sk d =
     sk.sk_ncells <- cap
   end
 
+let grow arr n fill =
+  let bigger = Array.make (max 16 (max n (2 * Array.length arr))) fill in
+  Array.blit arr 0 bigger 0 (Array.length arr);
+  bigger
+
 let ensure_emit sk d =
-  (* index d holds the emission pair for paths of length d+1 *)
-  if d >= Array.length sk.sk_emit_steps then begin
-    let old = Array.length sk.sk_emit_steps in
-    let cap = max 16 (max (d + 1) (2 * old)) in
-    let steps = Array.init cap (fun i ->
-        if i < old then sk.sk_emit_steps.(i) else Array.make (i + 1) dummy_step)
-    in
-    let paths = Array.init cap (fun i ->
-        if i < old then sk.sk_emit_paths.(i) else { steps = steps.(i) })
-    in
-    sk.sk_emit_steps <- steps;
-    sk.sk_emit_paths <- paths
-  end
+  if d >= Array.length sk.sk_emit then sk.sk_emit <- grow sk.sk_emit (d + 1) dummy_step
+
+let no_path = { steps = [||] }
+
+(* [scan]'s length-[n] path record, refilled from [stream]'s buffer *)
+let emit_path sk steps n =
+  if n > Array.length sk.sk_emit_paths then sk.sk_emit_paths <- grow sk.sk_emit_paths n no_path;
+  let p = sk.sk_emit_paths.(n - 1) in
+  let p =
+    if Array.length p.steps = n then p
+    else begin
+      let p = { steps = Array.make n dummy_step } in
+      sk.sk_emit_paths.(n - 1) <- p;
+      p
+    end
+  in
+  Array.blit steps 0 p.steps 0 n;
+  p
 
 (* FNV-1a over a substring, as in Symbol's read cache. The pool helpers
    are top-level tail recursions, not local closures or refs — they run
@@ -360,7 +370,7 @@ let stream_body sk src ~f =
     let cell = sk.sk_cells.(d) in
     if cell.sc_children = 0 then begin
       ensure_emit sk d;
-      let out = sk.sk_emit_steps.(d) in
+      let out = sk.sk_emit in
       for i = 0 to d do
         out.(i) <- finalize_cell sk sk.sk_cells.(i)
       done;
@@ -378,11 +388,9 @@ let stream_body sk src ~f =
    covering the whole fused parse+match drive). *)
 let stream sk src ~f = stream_body sk src ~f
 
-(* [stream] just filled [sk_emit_steps.(n - 1)], which is the steps array
-   of the per-depth cached path record — handing that record out costs
-   nothing on top of the raw driver. *)
-let scan_body sk src ~f =
-  stream_body sk src ~f:(fun _steps n -> f sk.sk_emit_paths.(n - 1))
+(* [scan] hands out a per-length path record, so its steps array has
+   exactly the path's length; one blit from [stream]'s buffer fills it. *)
+let scan_body sk src ~f = stream_body sk src ~f:(fun steps n -> f (emit_path sk steps n))
 
 (* In the streaming pipeline parse and path scan are fused — fold_zc
    drives the scanner directly — so one "scan" span covers both. *)

@@ -96,6 +96,42 @@ let test_must_hold () =
   in
   check_ok "identity break fails even without timing gate" false v
 
+(* the predicate-match deep row: the join's share of the all-pairs bound
+   and its reference identity gate; the bound itself is the workload's *)
+let deep_doc ?(visits = 0.13) ?(all_pairs = 515_191.) ?(identical = true) () =
+  J.Obj
+    [
+      "schema", J.String "predfilter-bench/1";
+      "scale", J.String "scaled";
+      "seed", J.Int 7;
+      ( "experiments",
+        J.Obj
+          [
+            ( "predicate-match",
+              J.Obj
+                [
+                  "hardware_cores", J.Int 1;
+                  "shard_mode", J.String "sequential";
+                  ( "deep",
+                    J.Obj
+                      [
+                        "visits_over_all_pairs", J.Float visits;
+                        "all_pairs_per_doc", J.Float all_pairs;
+                        "identical_to_reference", J.Bool identical;
+                      ] );
+                ] );
+          ] );
+    ]
+
+let test_deep_join_gates () =
+  let base = deep_doc () in
+  check_ok "join lost output sensitivity" false
+    (C.compare_json ~gate_timing:false base (deep_doc ~visits:0.5 ()));
+  check_ok "join diverged from the reference" false
+    (C.compare_json ~gate_timing:false base (deep_doc ~identical:false ()));
+  check_ok "a different workload bound is not a regression" true
+    (C.compare_json ~gate_timing:false base (deep_doc ~all_pairs:2e6 ()))
+
 let test_host_mismatch () =
   let v = C.compare_json (doc ~cores:1 ()) (doc ~cores:8 ()) in
   Alcotest.(check bool) "core-count change is incomparable" true
@@ -166,6 +202,7 @@ let () =
           Alcotest.test_case "threshold band" `Quick test_within_threshold;
           Alcotest.test_case "throughput regression" `Quick test_throughput_regression;
           Alcotest.test_case "identity invariant" `Quick test_must_hold;
+          Alcotest.test_case "deep join gates" `Quick test_deep_join_gates;
           Alcotest.test_case "host mismatch" `Quick test_host_mismatch;
           Alcotest.test_case "gate-timing off" `Quick test_gate_timing_off;
           Alcotest.test_case "run exit codes" `Quick test_run_exit_codes;

@@ -271,6 +271,48 @@ let prop_inline_postponed_agree =
       in
       run Engine.Inline = run Engine.Postponed)
 
+(* Past depth 2^16 the occurrence packing once overflowed its 16-bit
+   fields and the predicate engine silently reported no match. A
+   65,540-deep chain of <a> with a <b/> leaf: every engine must find the
+   one //a/b match the evaluator finds, under tree ingest (and, for the
+   predicate engine, fully streaming too). *)
+let deep_chain depth =
+  let b = Buffer.create ((7 * depth) + 4) in
+  for _ = 1 to depth do
+    Buffer.add_string b "<a>"
+  done;
+  Buffer.add_string b "<b/>";
+  for _ = 1 to depth do
+    Buffer.add_string b "</a>"
+  done;
+  Buffer.contents b
+
+let test_deep_packing () =
+  let src = deep_chain 65_540 in
+  let d = Pf_xml.Sax.parse_document src in
+  let q = "//a/b" in
+  (* the per-path evaluator: the tree one is quadratic in depth *)
+  Alcotest.(check bool) "evaluator" true
+    (List.exists
+       (Pf_xpath.Eval.matches_doc_path (Pf_xpath.Parser.parse q))
+       (Pf_xml.Path.of_document d));
+  List.iter
+    (fun variant ->
+      let e = Engine.create ~variant () in
+      let s = Engine.add_string e q in
+      Alcotest.(check (list int)) "predicate engine" [ s ] (Engine.match_document e d))
+    variants;
+  let e = Engine.create () in
+  let s = Engine.add_string e q in
+  Alcotest.(check (list int)) "predicate engine, streaming" [ s ] (Engine.match_stream e src);
+  let y = Pf_yfilter.Yfilter.create () in
+  let s = Pf_yfilter.Yfilter.add_string y q in
+  Alcotest.(check (list int)) "YFilter" [ s ] (Pf_yfilter.Yfilter.match_document y d);
+  let x = Pf_indexfilter.Index_filter.create () in
+  let s = Pf_indexfilter.Index_filter.add_string x q in
+  Alcotest.(check (list int)) "Index-Filter" [ s ]
+    (Pf_indexfilter.Index_filter.match_document x d)
+
 let () =
   Alcotest.run "engine"
     [
@@ -294,6 +336,7 @@ let () =
           Alcotest.test_case "explain iff matched" `Quick test_explain_consistent_with_match;
           Alcotest.test_case "unsupported propagates" `Quick test_unsupported_propagates;
         ] );
+      "deep", [ Alcotest.test_case "//a/b past depth 2^16" `Quick test_deep_packing ];
       ( "oracle",
         List.map Gen_helpers.to_alcotest
           [

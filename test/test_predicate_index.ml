@@ -157,37 +157,40 @@ let test_inline_constraints () =
 (* property: matching results obey the Section 4.1.1 rules exactly,
    cross-checked against a naive evaluator over the publication *)
 let naive_matches (pred : Predicate.t) (pub : Publication.t) =
-  let tuples = Array.to_list pub.Publication.tuples in
+  let tuples = List.init pub.Publication.length (fun i -> pub.Publication.tuples.(i)) in
   let op_holds op diff v =
     match op with Predicate.Eq -> diff = v | Predicate.Ge -> diff >= v
   in
+  let sym (tv : Predicate.tagvar) = Symbol.intern tv.Predicate.name in
   match pred with
   | Predicate.Absolute { tag; op; v } ->
+    let s = sym tag in
     List.filter_map
       (fun tu ->
-        if tu.Publication.tag = Symbol.intern tag.Predicate.name
-           && op_holds op tu.Publication.pos v
+        if tu.Publication.tag = s && op_holds op tu.Publication.pos v
         then Some (tu.Publication.occurrence, tu.Publication.occurrence)
         else None)
       tuples
   | Predicate.Relative { first; second; op; v } ->
+    let s1 = sym first and s2 = sym second in
     List.concat_map
       (fun t1 ->
-        List.filter_map
-          (fun t2 ->
-            if t1.Publication.tag = Symbol.intern first.Predicate.name
-               && t2.Publication.tag = Symbol.intern second.Predicate.name
-               && t2.Publication.pos > t1.Publication.pos
-               && op_holds op (t2.Publication.pos - t1.Publication.pos) v
-            then Some (t1.Publication.occurrence, t2.Publication.occurrence)
-            else None)
-          tuples)
+        if t1.Publication.tag <> s1 then []
+        else
+          List.filter_map
+            (fun t2 ->
+              if t2.Publication.tag = s2
+                 && t2.Publication.pos > t1.Publication.pos
+                 && op_holds op (t2.Publication.pos - t1.Publication.pos) v
+              then Some (t1.Publication.occurrence, t2.Publication.occurrence)
+              else None)
+            tuples)
       tuples
   | Predicate.End_of_path { tag; v } ->
+    let s = sym tag in
     List.filter_map
       (fun tu ->
-        if tu.Publication.tag = Symbol.intern tag.Predicate.name
-           && pub.Publication.length - tu.Publication.pos >= v
+        if tu.Publication.tag = s && pub.Publication.length - tu.Publication.pos >= v
         then Some (tu.Publication.occurrence, tu.Publication.occurrence)
         else None)
       tuples
@@ -215,6 +218,78 @@ let pred_gen =
         (int_range 1 6 >>= fun v -> return (Predicate.Length { v }));
       ])
 
+(* Deep publications: 100-1500 tuples over 2-4 tags, assembled from long
+   same-tag chains, two-tag combs and short noisy runs, so the relative
+   join walks long chains with many matching and many out-of-reach pairs.
+   [late_tag] is interned after the deep tags, so a predicate naming it
+   grows the index's symbol bound past every deep tag. *)
+let deep_tags = [| "dpa"; "dpb"; "dpc"; "dpd" |]
+let late_tag = "dplate"
+
+let () =
+  Array.iter (fun t -> ignore (Symbol.intern t : Symbol.t)) deep_tags;
+  ignore (Symbol.intern late_tag : Symbol.t)
+
+let deep_tags_gen ~alphabet =
+  let open QCheck2.Gen in
+  int_range 2 4 >>= fun k ->
+  int_range 100 1500 >>= fun len ->
+  let tag = oneofl (List.init k (fun i -> alphabet.(i))) in
+  let segment =
+    frequency
+      [
+        (2, pair tag (int_range 1 300) >|= fun (t, n) -> List.init n (fun _ -> t));
+        ( 2,
+          triple tag tag (int_range 1 100) >|= fun (t1, t2, n) ->
+          List.init (2 * n) (fun i -> if i land 1 = 0 then t1 else t2) );
+        1, list_size (int_range 1 20) tag;
+      ]
+  in
+  let rec fill acc n =
+    if n >= len then return (List.filteri (fun i _ -> i < len) (List.concat (List.rev acc)))
+    else segment >>= fun seg -> fill (seg :: acc) (n + List.length seg)
+  in
+  fill [] 0
+
+(* run-length form, so a 1500-tuple counterexample stays readable *)
+let print_deep_tags tags =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | t :: rest ->
+      let rec count n = function x :: r when x = t -> count (n + 1) r | r -> n, r in
+      let n, rest = count 1 rest in
+      go ((if n = 1 then t else Printf.sprintf "%s*%d" t n) :: acc) rest
+  in
+  Printf.sprintf "[%d] %s" (List.length tags) (String.concat "/" (go [] tags))
+
+(* predicates over the deep tags, with distances both short and far *)
+let deep_pred_gen =
+  let open QCheck2.Gen in
+  let tag = oneofa deep_tags >|= Predicate.tagvar in
+  let op = oneofl [ Predicate.Eq; Predicate.Ge ] in
+  let dist = frequency [ 3, int_range 1 6; 1, int_range 7 1500 ] in
+  frequency
+    [
+      ( 4,
+        tag >>= fun first ->
+        tag >>= fun second ->
+        op >>= fun op ->
+        dist >|= fun v -> Predicate.Relative { first; second; op; v } );
+      (1, tag >>= fun tag -> op >>= fun op -> dist >|= fun v -> Predicate.Absolute { tag; op; v });
+      (1, tag >>= fun tag -> dist >|= fun v -> Predicate.End_of_path { tag; v });
+      (1, dist >|= fun v -> Predicate.Length { v });
+    ]
+
+let agrees_with_naive preds pub =
+  let idx = Predicate_index.create () in
+  let pids = List.map (Predicate_index.intern idx) preds in
+  let res = Predicate_index.create_results () in
+  Predicate_index.run idx res pub;
+  List.for_all2
+    (fun pred pid ->
+      sorted_pairs (Predicate_index.get res pid) = sorted_pairs (naive_matches pred pub))
+    preds pids
+
 let prop_matching_agrees_with_naive =
   let open QCheck2 in
   let tags_gen = Gen.(list_size (int_range 1 7) Gen_helpers.tag_gen) in
@@ -222,17 +297,15 @@ let prop_matching_agrees_with_naive =
     ~print:(fun (preds, tags) ->
       Format.asprintf "%a on %s" Predicate.pp_list preds (String.concat "/" tags))
     Gen.(pair (list_size (int_range 1 5) pred_gen) tags_gen)
-    (fun (preds, tags) ->
-      let idx = Predicate_index.create () in
-      let pids = List.map (Predicate_index.intern idx) preds in
-      let pub = Publication.of_tags tags in
-      let res = Predicate_index.create_results () in
-      Predicate_index.run idx res pub;
-      List.for_all2
-        (fun pred pid ->
-          sorted_pairs (Predicate_index.get res pid)
-          = sorted_pairs (naive_matches pred pub))
-        preds pids)
+    (fun (preds, tags) -> agrees_with_naive preds (Publication.of_tags tags))
+
+let prop_deep_matching_agrees_with_naive =
+  let open QCheck2 in
+  Test.make ~name:"index matching = naive rule evaluation (deep paths)" ~count:60
+    ~print:(fun (preds, tags) ->
+      Format.asprintf "%a on %s" Predicate.pp_list preds (print_deep_tags tags))
+    Gen.(pair (list_size (int_range 1 6) deep_pred_gen) (deep_tags_gen ~alphabet:deep_tags))
+    (fun (preds, tags) -> agrees_with_naive preds (Publication.of_tags tags))
 
 (* ------------------------------------------------------------------ *)
 (* Equivalence with the pre-rewrite list-slot implementation
@@ -286,6 +359,44 @@ let equiv_print (batch1, batch2, docs) =
   Format.asprintf "%a then %a on %d docs" Predicate.pp_list batch1 Predicate.pp_list
     batch2 (List.length docs)
 
+(* Intern [batch1], run the first half of [pubs], intern [batch2] (and
+   [batch1] again), run the rest: every run must equal the reference, and
+   the counter totals must too. The join never walks more pairs than the
+   all-pairs loop it replaced. *)
+let flat_agrees (batch1, batch2, pubs) =
+  let m_new = Predicate_index.make_metrics () in
+  let m_old = Pref.make_metrics () in
+  let idx = Predicate_index.create ~metrics:m_new () in
+  let rdx = Pref.create ~metrics:m_old () in
+  let pids1 = List.map (Predicate_index.intern idx) batch1 in
+  let rpids1 = List.map (Pref.intern rdx) batch1 in
+  let res = Predicate_index.create_results () in
+  let rres = Pref.create_results () in
+  let k = List.length pubs / 2 in
+  let before = List.filteri (fun i _ -> i < k) pubs in
+  let after = List.filteri (fun i _ -> i >= k) pubs in
+  let all_pairs =
+    List.fold_left
+      (fun acc (p : Publication.t) -> acc + (p.Publication.length * (p.Publication.length - 1) / 2))
+      0 pubs
+  in
+  pids1 = rpids1
+  && List.for_all (agree idx res rdx rres) before
+  && begin
+       (* churn: new predicates force a rebuild before the next run;
+          re-interning existing ones must change nothing (same pids,
+          no divergence) *)
+       let pids2 = List.map (Predicate_index.intern idx) batch2 in
+       let rpids2 = List.map (Pref.intern rdx) batch2 in
+       let again1 = List.map (Predicate_index.intern idx) batch1 in
+       let ragain1 = List.map (Pref.intern rdx) batch1 in
+       pids2 = rpids2 && again1 = pids1 && ragain1 = rpids1
+     end
+  && List.for_all (agree idx res rdx rres) after
+  && Pf_obs.Counter.get m_new.Predicate_index.probes = Pf_obs.Counter.get m_old.Pref.probes
+  && Pf_obs.Counter.get m_new.Predicate_index.hits = Pf_obs.Counter.get m_old.Pref.hits
+  && Pf_obs.Counter.get m_new.Predicate_index.pair_visits <= all_pairs
+
 let prop_flat_agrees_with_listslot =
   let open QCheck2 in
   Test.make ~name:"flat index = list-slot reference (with churn)" ~count:600
@@ -295,36 +406,36 @@ let prop_flat_agrees_with_listslot =
         (list_size (int_range 1 5) cpred_gen)
         (list_size (int_range 0 4) cpred_gen)
         (list_size (int_range 1 3) Gen_helpers.doc_gen))
-    (fun (batch1, batch2, docs) ->
-      let m_new = Predicate_index.make_metrics () in
-      let m_old = Pref.make_metrics () in
-      let idx = Predicate_index.create ~metrics:m_new () in
-      let rdx = Pref.create ~metrics:m_old () in
-      let pids1 = List.map (Predicate_index.intern idx) batch1 in
-      let rpids1 = List.map (Pref.intern rdx) batch1 in
-      let res = Predicate_index.create_results () in
-      let rres = Pref.create_results () in
-      let pubs = pubs_of_docs docs in
-      let k = List.length pubs / 2 in
-      let before = List.filteri (fun i _ -> i < k) pubs in
-      let after = List.filteri (fun i _ -> i >= k) pubs in
-      pids1 = rpids1
-      && List.for_all (agree idx res rdx rres) before
-      && begin
-           (* churn: new predicates force a rebuild before the next run;
-              re-interning existing ones must change nothing (same pids,
-              no divergence) *)
-           let pids2 = List.map (Predicate_index.intern idx) batch2 in
-           let rpids2 = List.map (Pref.intern rdx) batch2 in
-           let again1 = List.map (Predicate_index.intern idx) batch1 in
-           let ragain1 = List.map (Pref.intern rdx) batch1 in
-           pids2 = rpids2 && again1 = pids1 && ragain1 = rpids1
-         end
-      && List.for_all (agree idx res rdx rres) after
-      && Pf_obs.Counter.get m_new.Predicate_index.probes
-         = Pf_obs.Counter.get m_old.Pref.probes
-      && Pf_obs.Counter.get m_new.Predicate_index.hits
-         = Pf_obs.Counter.get m_old.Pref.hits)
+    (fun (batch1, batch2, docs) -> flat_agrees (batch1, batch2, pubs_of_docs docs))
+
+(* Deep paths over the deep tags plus [late_tag]. The first batch never
+   names [late_tag], so its tuples sit beyond the symbol bound until the
+   second batch, which always does, grows the bound mid-sequence — the
+   join's per-symbol scratch must grow with it. *)
+let prop_deep_flat_agrees_with_listslot =
+  let open QCheck2 in
+  let alphabet = Array.append [| late_tag |] deep_tags in
+  let late_pred_gen =
+    Gen.(
+      deep_pred_gen >|= function
+      | Predicate.Relative r -> Predicate.Relative { r with first = Predicate.tagvar late_tag }
+      | Predicate.Absolute r -> Predicate.Absolute { r with tag = Predicate.tagvar late_tag }
+      | Predicate.End_of_path r -> Predicate.End_of_path { r with tag = Predicate.tagvar late_tag }
+      | Predicate.Length _ ->
+        Predicate.Relative
+          { first = Predicate.tagvar "dpa"; second = Predicate.tagvar late_tag; op = Predicate.Ge; v = 1 })
+  in
+  Test.make ~name:"flat index = list-slot reference (deep paths, symbol growth)" ~count:60
+    ~print:(fun (batch1, batch2, tags) ->
+      Format.asprintf "%a then %a on %s" Predicate.pp_list batch1 Predicate.pp_list batch2
+        (String.concat " ; " (List.map print_deep_tags tags)))
+    Gen.(
+      triple
+        (list_size (int_range 1 6) deep_pred_gen)
+        (pair late_pred_gen (list_size (int_range 0 4) deep_pred_gen) >|= fun (p, ps) -> p :: ps)
+        (list_size (int_range 2 3) (deep_tags_gen ~alphabet)))
+    (fun (batch1, batch2, tags) ->
+      flat_agrees (batch1, batch2, List.map Publication.of_tags tags))
 
 let prop_run_batch_agrees =
   let open QCheck2 in
@@ -391,7 +502,9 @@ let () =
         List.map Gen_helpers.to_alcotest
           [
             prop_matching_agrees_with_naive;
+            prop_deep_matching_agrees_with_naive;
             prop_flat_agrees_with_listslot;
+            prop_deep_flat_agrees_with_listslot;
             prop_run_batch_agrees;
           ] );
     ]

@@ -51,6 +51,32 @@ let test_structure () =
   let structs = List.map (fun p -> Array.to_list p.Publication.structure) pubs in
   Alcotest.(check (list (list int))) "structure tuples" [ [ 1; 1 ]; [ 1; 2; 1 ] ] structs
 
+(* The streaming state (path scanner plus publication arena) holds O(depth)
+   words: after a depth-4d document it retains at most ~4.5x what it
+   retains after a depth-d one. Per-length emission arrays once made that
+   ~16x, and a 20k-deep document exhausted the heap. *)
+let test_arena_linear () =
+  let chain depth =
+    String.concat "" (List.init depth (fun _ -> "<a>"))
+    ^ "<b/>"
+    ^ String.concat "" (List.init depth (fun _ -> "</a>"))
+  in
+  let retained depth =
+    let sk = Pf_xml.Path.create_scanner () and ar = Publication.create_arena () in
+    let words () = Obj.reachable_words (Obj.repr (sk, ar)) in
+    let w0 = words () in
+    Pf_xml.Path.stream sk (chain depth) ~f:(fun steps n ->
+        let pub = Publication.of_steps ar steps n in
+        Alcotest.(check int) "length" (depth + 1) pub.Publication.length);
+    words () - w0
+  in
+  let d = 1000 in
+  let small = retained d and large = retained (4 * d) in
+  let ratio = float large /. float small in
+  if ratio > 4.5 then
+    Alcotest.failf "depth %d retains %d words, depth %d retains %d (%.1fx > 4.5x)" d small
+      (4 * d) large ratio
+
 let prop_roundtrip_positions =
   QCheck2.Test.make ~name:"pos_of_occurrence inverts tuples" ~count:500
     ~print:Gen_helpers.doc_print Gen_helpers.doc_gen (fun doc ->
@@ -75,6 +101,7 @@ let () =
           Alcotest.test_case "pos_of_occurrence" `Quick test_pos_of_occurrence;
           Alcotest.test_case "attributes" `Quick test_of_path_attrs;
           Alcotest.test_case "structure tuples" `Quick test_structure;
+          Alcotest.test_case "streaming arena linear in depth" `Quick test_arena_linear;
         ] );
       "properties", List.map Gen_helpers.to_alcotest [ prop_roundtrip_positions ];
     ]
