@@ -808,7 +808,9 @@ let service () =
    determination — measured in minor-heap words per document. The
    difference (packed - run_only) is the occurrence stage's own
    allocation, which should be ~0; the list variant shows what the arena
-   replaced. *)
+   replaced. A fourth pass runs the same expressions through
+   [Expr_index.eval] (basic-pc-ap): the flat trie walk must allocate
+   nothing either, and copy candidate rows only for runs. *)
 
 let occurrence_alloc () =
   let dtd = dtd_of "nitf" in
@@ -840,11 +842,11 @@ let occurrence_alloc () =
     Pf_core.Occurrence.row_len arena i > 0
   in
   let rec fill_rows pids n i = i >= n || (fill_row i pids.(i) && fill_rows pids n (i + 1)) in
-  let match_one pids =
+  let matches_flat pids =
     Pf_core.Occurrence.clear arena;
-    if fill_rows pids (Array.length pids) 0 then
-      ignore (Pf_core.Occurrence.matches_packed arena : bool)
+    fill_rows pids (Array.length pids) 0 && Pf_core.Occurrence.matches_packed arena
   in
+  let match_one pids = ignore (matches_flat pids : bool) in
   let pass_run_only () =
     List.iter (fun pub -> Pf_core.Predicate_index.run idx res pub) pubs
   in
@@ -866,9 +868,36 @@ let occurrence_alloc () =
           exprs)
       pubs
   in
+  let module X = Pf_core.Expr_index in
+  let tm = X.make_metrics () in
+  let trie = X.create ~metrics:tm X.Access_predicate in
+  List.iteri (fun sid pids -> X.add trie ~sid ~pids) exprs;
+  let on_match (_ : int) = () in
+  let pass_trie () =
+    List.iter
+      (fun pub ->
+        Pf_core.Predicate_index.run idx res pub;
+        X.eval trie res ~sticky:false ~doc_tag:0 ~on_match)
+      pubs
+  in
+  (* the trie reports exactly the flat pass's matches, publication by
+     publication *)
+  let identical =
+    List.for_all
+      (fun pub ->
+        Pf_core.Predicate_index.run idx res pub;
+        let got = ref [] in
+        X.eval trie res ~sticky:false ~doc_tag:0 ~on_match:(fun sid -> got := sid :: !got);
+        let want =
+          List.concat (List.mapi (fun sid pids -> if matches_flat pids then [ sid ] else []) exprs)
+        in
+        List.sort compare !got = want)
+      pubs
+  in
   (* warm-up grows the scratch structures to their steady-state size *)
   pass_packed ();
   pass_list ();
+  pass_trie ();
   let minor_per_doc pass =
     let reps = 3 in
     let before = Gc.minor_words () in
@@ -880,6 +909,17 @@ let occurrence_alloc () =
   let run_only = minor_per_doc pass_run_only in
   let packed = minor_per_doc pass_packed in
   let listed = minor_per_doc pass_list in
+  let runs0 = Pf_obs.Counter.get tm.X.runs and rows0 = Pf_obs.Counter.get tm.X.rows_filled in
+  let trie_words = minor_per_doc pass_trie in
+  let trie_runs = Pf_obs.Counter.get tm.X.runs - runs0 in
+  let trie_rows = Pf_obs.Counter.get tm.X.rows_filled - rows0 in
+  let per_doc n = float n /. float (3 * npubs) in
+  (* an add that creates no trie node (a duplicate) must not rebuild the
+     image *)
+  let rebuilds0 = Pf_obs.Counter.get tm.X.rebuilds in
+  X.add trie ~sid:(List.length exprs) ~pids:(List.hd exprs);
+  pass_trie ();
+  let dup_rebuilds = Pf_obs.Counter.get tm.X.rebuilds - rebuilds0 in
   Printf.printf
     "\n== occurrence-alloc: %d XPE predicate rows, %d publications (minor words/doc) ==\n"
     (List.length exprs) npubs;
@@ -888,13 +928,34 @@ let occurrence_alloc () =
     (packed -. run_only);
   Printf.printf "%24s %18.1f   (occurrence stage: %.1f)\n" "run + list-based" listed
     (listed -. run_only);
+  Printf.printf
+    "%24s %18.1f   (occurrence stage: %.1f; %.1f runs/doc, %.2f rows filled/run, \
+     identical %b, rebuilds on a duplicate add %d)\n"
+    "run + trie (basic-pc-ap)" trie_words (trie_words -. run_only) (per_doc trie_runs)
+    (float trie_rows /. float (max 1 trie_runs))
+    identical dup_rebuilds;
   record "publications" (J.Int npubs);
   record "exprs" (J.Int (List.length exprs));
   record "minor_words_per_doc_run_only" (J.Float run_only);
   record "minor_words_per_doc_packed" (J.Float packed);
   record "minor_words_per_doc_list" (J.Float listed);
   record "occurrence_stage_minor_words_per_doc_packed" (J.Float (packed -. run_only));
-  record "occurrence_stage_minor_words_per_doc_list" (J.Float (listed -. run_only))
+  record "occurrence_stage_minor_words_per_doc_list" (J.Float (listed -. run_only));
+  record "trie"
+    (J.Obj
+       [
+         "variant", J.String (X.variant_name X.Access_predicate);
+         "minor_words_per_doc", J.Float (trie_words -. run_only);
+         "runs_per_doc", J.Float (per_doc trie_runs);
+         "rows_filled_per_doc", J.Float (per_doc trie_rows);
+         "rows_filled_per_run", J.Float (float trie_rows /. float (max 1 trie_runs));
+         "rebuilds_on_duplicate_add", J.Int dup_rebuilds;
+         "identical_matches", J.Bool identical;
+       ]);
+  if not identical then begin
+    Printf.eprintf "occurrence-alloc: the trie's matches differ from the flat pass\n";
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Predicate-match (extension): the cache-flat predicate image, measured
@@ -1841,6 +1902,9 @@ let () =
   List.iter
     (fun (name, f) ->
       current_exp := name;
+      (* start each experiment from a compacted heap, so its GC counts do
+         not depend on what the experiments before it left behind *)
+      Gc.compact ();
       let s0 = Gc.quick_stat () in
       let (), s = B.time f in
       (* allocation pressure per experiment: words allocated on the minor

@@ -65,6 +65,15 @@ let classify ~exp path =
        sensitivity. The bound itself ([all_pairs_per_doc]) is a property
        of the workload and is not compared. *)
     Free_lower
+  else if
+    List.mem base
+      [ "runs_per_doc"; "rows_filled_per_doc"; "rows_filled_per_run"; "rebuilds_on_duplicate_add" ]
+  then
+    (* deterministic work profile of the trie walk on the seeded
+       workload: more runs means lost covering, more rows per run means
+       the lazy row fill lost its reuse, and a duplicate add must not
+       rebuild the image at all *)
+    Free_lower
   else if base = "physical_over_logical" || base = "covers_probes_per_expr" then
     (* deterministic sharing profile of the subsumption index on the
        seeded redundant workload: a rising ratio means lost sharing, a

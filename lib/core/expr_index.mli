@@ -18,7 +18,15 @@
       backtracking runs, sets of reachable chain endings (occurrence
       numbers) are propagated down the trie once, so the work of the
       occurrence determination itself is shared across expressions with
-      common prefixes. *)
+      common prefixes.
+
+    The three trie variants match over a flat image of the trie: its
+    nodes numbered breadth-first into a few int arrays, so each node's
+    children are one contiguous id range and a dead child costs one stamp
+    read. Subtrees holding no registered expression are left out. The
+    image is rebuilt on the first {!eval} after an {!add} that creates a
+    trie node or fills a node left out; other adds and every {!remove}
+    update it in place. *)
 
 type variant = Basic | Prefix_covering | Access_predicate | Shared
 
@@ -35,13 +43,20 @@ type metrics = {
       (** expressions reported through prefix covering without a run *)
   access_skips : Pf_obs.Counter.t;
       (** subtrees/clusters skipped on a dead access predicate *)
+  rows_filled : Pf_obs.Counter.t;
+      (** candidate rows copied into the occurrence arena; the trie
+          variants copy a row only when a run needs it *)
+  rebuilds : Pf_obs.Counter.t;
+      (** rebuilds of the trie variants' flat image (one per {!eval}
+          after a structural change) *)
   chain_len : Pf_obs.Histogram.t;  (** chain length per run *)
 }
 
 val make_metrics : ?registry:Pf_obs.Registry.t -> unit -> metrics
 (** Counters named ["occurrence_runs"], ["backtrack_steps"],
-    ["prefix_cover_skips"], ["access_skips"] and the ["chain_length"]
-    histogram, registered in [registry] when given. *)
+    ["prefix_cover_skips"], ["access_skips"], ["occurrence_rows_filled"],
+    ["expr_image_rebuilds"] and the ["chain_length"] histogram, registered
+    in [registry] when given. *)
 
 type t
 
@@ -58,8 +73,9 @@ val remove : t -> sid:int -> pids:int array -> bool
 (** Unregister an expression; [pids] must be the sequence it was added
     with. Returns false if it was not (or no longer) registered. Constant
     time in the number of expressions (a tombstone for {!Basic}, a sid-list
-    removal at one trie node otherwise); interned predicates are not
-    reclaimed. *)
+    removal along one trie path otherwise); interned predicates are not
+    reclaimed, and a trie subtree left without expressions is dropped from
+    the match image at its next rebuild. *)
 
 val eval :
   t -> Predicate_index.results -> sticky:bool -> doc_tag:int -> on_match:(int -> unit) -> unit

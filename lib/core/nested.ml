@@ -19,16 +19,22 @@ type sub = {
   mutable seen : (int array, unit) Hashtbl.t;
   mutable matched_nodes : (int, unit) Hashtbl.t;  (* node ids at self_slot *)
   mutable root_matched : bool;
+  mutable retired : bool;  (* its expression was removed: every pass skips it *)
 }
 
 type t = {
   index : Predicate_index.t;
-  subs : sub Vec.t;
+  mutable subs : sub Vec.t;
+  mutable n_retired : int;  (* retired subs still in [subs] *)
   mutable roots : (int * int) list;  (* (sid, root sub id) *)
   mutable n_exprs : int;
   (* per-document node identification: node at depth d is (parent node, m_d) *)
   mutable node_tbl : (int * int, int) Hashtbl.t;
   mutable next_node : int;
+  (* the current path's node ids, computed by the first sub that needs
+     them ([path_ids]) *)
+  mutable path_ids : int array;
+  mutable path_ids_fresh : bool;
   arena : Occurrence.arena;  (* candidate-set scratch reused across paths *)
 }
 
@@ -51,22 +57,26 @@ let dummy_sub =
     seen = Hashtbl.create 1;
     matched_nodes = Hashtbl.create 1;
     root_matched = false;
+    retired = false;
   }
 
 let create index =
   {
     index;
     subs = Vec.create ~dummy:dummy_sub ();
+    n_retired = 0;
     roots = [];
     n_exprs = 0;
     node_tbl = Hashtbl.create 64;
     next_node = 0;
+    path_ids = [||];
+    path_ids_fresh = false;
     arena = Occurrence.create_arena ();
   }
 
 let is_empty t = t.roots = []
 let expression_count t = t.n_exprs
-let sub_expression_count t = Vec.length t.subs
+let sub_expression_count t = Vec.length t.subs - t.n_retired
 
 let strip_nested (s : Ast.step) =
   {
@@ -165,6 +175,7 @@ let rec commit t pl =
       seen = Hashtbl.create 8;
       matched_nodes = Hashtbl.create 8;
       root_matched = false;
+      retired = false;
     }
   in
   let id = Vec.push t.subs s in
@@ -180,21 +191,47 @@ let add t ~sid (p : Ast.path) =
   t.roots <- (sid, root) :: t.roots;
   t.n_exprs <- t.n_exprs + 1
 
+(* Sub-expressions belong to one expression each (commit never shares
+   them), so a removed expression's whole sub tree is retired. *)
+let rec retire t id =
+  let s = Vec.get t.subs id in
+  s.retired <- true;
+  t.n_retired <- t.n_retired + 1;
+  List.iter (fun c -> retire t c.sub) s.children
+
+(* Drop the retired subs once they are the majority (amortized O(1) per
+   removal). Survivors keep their relative order, so parents still come
+   before their children. *)
+let compact t =
+  let remap = Array.make (Vec.length t.subs) (-1) in
+  let subs = Vec.create ~dummy:dummy_sub () in
+  Vec.iteri (fun id s -> if not s.retired then remap.(id) <- Vec.push subs s) t.subs;
+  Vec.iter
+    (fun s -> s.children <- List.map (fun c -> { c with sub = remap.(c.sub) }) s.children)
+    subs;
+  t.roots <- List.map (fun (sid, root) -> sid, remap.(root)) t.roots;
+  t.subs <- subs;
+  t.n_retired <- 0
+
 let remove t ~sid =
-  if List.mem_assoc sid t.roots then begin
+  match List.assoc_opt sid t.roots with
+  | None -> false
+  | Some root ->
     t.roots <- List.filter (fun (s, _) -> s <> sid) t.roots;
     t.n_exprs <- t.n_exprs - 1;
+    retire t root;
+    if 2 * t.n_retired > Vec.length t.subs then compact t;
     true
-  end
-  else false
 
 let begin_document t =
   Vec.iter
     (fun s ->
-      s.obs <- [];
-      Hashtbl.reset s.seen;
-      Hashtbl.reset s.matched_nodes;
-      s.root_matched <- false)
+      if not s.retired then begin
+        s.obs <- [];
+        Hashtbl.reset s.seen;
+        Hashtbl.reset s.matched_nodes;
+        s.root_matched <- false
+      end)
     t.subs;
   Hashtbl.reset t.node_tbl;
   t.next_node <- 0
@@ -222,69 +259,84 @@ let node_ids t (pub : Publication.t) =
   done;
   ids
 
+let path_ids t pub =
+  if not t.path_ids_fresh then begin
+    t.path_ids <- node_ids t pub;
+    t.path_ids_fresh <- true
+  end;
+  t.path_ids
+
+(* The per-path pass visits every sub, so its loops are top-level
+   recursions rather than local closures: a closure per sub per path
+   allocated more than the rest of the engine's match path together. *)
+let rec all_matched res pids i =
+  i >= Array.length pids
+  || (Predicate_index.is_matched res pids.(i) && all_matched res pids (i + 1))
+
+let rec fill_rows a res pids i =
+  if i < Array.length pids then begin
+    Occurrence.start_row a i;
+    Occurrence.push_chain a (Predicate_index.cells res) (Predicate_index.head res pids.(i));
+    fill_rows a res pids (i + 1)
+  end
+
+let observe_sub t res (pub : Publication.t) s =
+  if (not s.retired) && all_matched res s.pids 0 then begin
+    let a = t.arena in
+    Occurrence.clear a;
+    fill_rows a res s.pids 0;
+    if Array.length s.relevant = 0 then begin
+      (* no branch bookkeeping needed: one successful chain suffices *)
+      if Occurrence.matches_packed a then s.obs <- [||] :: s.obs
+    end
+    else begin
+      let ids = path_ids t pub in
+      let count = ref 0 in
+      let record chain (_ : int) =
+        incr count;
+        if !count = max_chains_per_path then
+          Log.warn (fun m ->
+              m
+                "occurrence chain enumeration capped at %d for %a on a path; \
+                 nested matching may under-report on this document"
+                max_chains_per_path Ast.pp s.enc.Encoder.source);
+        let nodes =
+          Array.mapi
+            (fun slot k ->
+              let pred_idx, side =
+                match s.enc.Encoder.step_vars.(k) with
+                | Some v -> v
+                | None -> assert false
+              in
+              let p = chain.(pred_idx) in
+              let occ =
+                match side with
+                | Encoder.First -> Predicate_index.packed_first p
+                | Encoder.Second -> Predicate_index.packed_second p
+              in
+              match
+                Publication.pos_of_occurrence pub ~tag:s.relevant_syms.(slot) ~occurrence:occ
+              with
+              | Some pos -> ids.(pos - 1)
+              | None -> assert false)
+            s.relevant
+        in
+        if not (Hashtbl.mem s.seen nodes) then begin
+          Hashtbl.add s.seen nodes ();
+          s.obs <- nodes :: s.obs
+        end;
+        !count >= max_chains_per_path (* true stops the enumeration *)
+      in
+      ignore (Occurrence.iter_chains_packed a record : bool)
+    end
+  end
+
 let observe_path t res (pub : Publication.t) =
   if t.roots <> [] then begin
-    let ids = lazy (node_ids t pub) in
-    Vec.iter
-      (fun s ->
-        let n = Array.length s.pids in
-        let rec all_matched i =
-          i >= n || (Predicate_index.is_matched res s.pids.(i) && all_matched (i + 1))
-        in
-        if all_matched 0 then begin
-          let a = t.arena in
-          Occurrence.clear a;
-          let cells = Predicate_index.cells res in
-          Array.iteri
-            (fun i pid ->
-              Occurrence.start_row a i;
-              Occurrence.push_chain a cells (Predicate_index.head res pid))
-            s.pids;
-          let ids = Lazy.force ids in
-          let count = ref 0 in
-          let record chain (_ : int) =
-            incr count;
-            if !count = max_chains_per_path then
-              Log.warn (fun m ->
-                  m
-                    "occurrence chain enumeration capped at %d for %a on a path; \
-                     nested matching may under-report on this document"
-                    max_chains_per_path Ast.pp s.enc.Encoder.source);
-            let nodes =
-              Array.mapi
-                (fun slot k ->
-                  let pred_idx, side =
-                    match s.enc.Encoder.step_vars.(k) with
-                    | Some v -> v
-                    | None -> assert false
-                  in
-                  let p = chain.(pred_idx) in
-                  let occ =
-                    match side with
-                    | Encoder.First -> Predicate_index.packed_first p
-                    | Encoder.Second -> Predicate_index.packed_second p
-                  in
-                  match
-                    Publication.pos_of_occurrence pub ~tag:s.relevant_syms.(slot)
-                      ~occurrence:occ
-                  with
-                  | Some pos -> ids.(pos - 1)
-                  | None -> assert false)
-                s.relevant
-            in
-            if not (Hashtbl.mem s.seen nodes) then begin
-              Hashtbl.add s.seen nodes ();
-              s.obs <- nodes :: s.obs
-            end;
-            !count >= max_chains_per_path (* true stops the enumeration *)
-          in
-          if Array.length s.relevant = 0 then begin
-            (* no branch bookkeeping needed: one successful chain suffices *)
-            if Occurrence.matches_packed a then s.obs <- [||] :: s.obs
-          end
-          else ignore (Occurrence.iter_chains_packed a record)
-        end)
-      t.subs
+    t.path_ids_fresh <- false;
+    for id = 0 to Vec.length t.subs - 1 do
+      observe_sub t res pub (Vec.get t.subs id)
+    done
   end
 
 let finish_document t ~on_match =
@@ -292,20 +344,22 @@ let finish_document t ~on_match =
      bottom-up order *)
   for id = Vec.length t.subs - 1 downto 0 do
     let s = Vec.get t.subs id in
-    let child_ok nodes { sub; at_step } =
-      let c = Vec.get t.subs sub in
-      let slot =
-        let rec go i = if s.relevant.(i) = at_step then i else go (i + 1) in
-        go 0
+    if not s.retired then begin
+      let child_ok nodes { sub; at_step } =
+        let c = Vec.get t.subs sub in
+        let slot =
+          let rec go i = if s.relevant.(i) = at_step then i else go (i + 1) in
+          go 0
+        in
+        Hashtbl.mem c.matched_nodes nodes.(slot)
       in
-      Hashtbl.mem c.matched_nodes nodes.(slot)
-    in
-    List.iter
-      (fun nodes ->
-        if List.for_all (child_ok nodes) s.children then begin
-          if s.self_slot >= 0 then Hashtbl.replace s.matched_nodes nodes.(s.self_slot) ()
-          else s.root_matched <- true
-        end)
-      s.obs
+      List.iter
+        (fun nodes ->
+          if List.for_all (child_ok nodes) s.children then begin
+            if s.self_slot >= 0 then Hashtbl.replace s.matched_nodes nodes.(s.self_slot) ()
+            else s.root_matched <- true
+          end)
+        s.obs
+    end
   done;
   List.iter (fun (sid, root) -> if (Vec.get t.subs root).root_matched then on_match sid) t.roots

@@ -44,12 +44,15 @@ val add : t -> sid:int -> Pf_xpath.Ast.path -> unit
 
 val remove : t -> sid:int -> bool
 (** Unregister a nested expression. Returns false if [sid] is unknown.
-    Its sub-expressions remain in the registry (their predicates are
-    shared and interned anyway); only the result mapping is dropped. *)
+    Its sub-expressions are retired: no later path or document visits
+    them, and they are dropped from the registry once retired ones are
+    the majority. Interned predicates stay (they are shared). *)
 
 val is_empty : t -> bool
 val expression_count : t -> int
+
 val sub_expression_count : t -> int
+(** Sub-expressions of the registered (not removed) expressions. *)
 
 (** {1 Per-document matching protocol}
 

@@ -132,6 +132,46 @@ let test_deep_join_gates () =
   check_ok "a different workload bound is not a regression" true
     (C.compare_json ~gate_timing:false base (deep_doc ~all_pairs:2e6 ()))
 
+(* the occurrence-alloc trie row: the walk's runs and rows per run gate,
+   as does its identity with the flat pass *)
+let trie_doc ?(rows_per_run = 1.67) ?(runs = 96.3) ?(identical = true) () =
+  J.Obj
+    [
+      "schema", J.String "predfilter-bench/1";
+      "scale", J.String "scaled";
+      "seed", J.Int 7;
+      ( "experiments",
+        J.Obj
+          [
+            ( "occurrence-alloc",
+              J.Obj
+                [
+                  "hardware_cores", J.Int 1;
+                  "shard_mode", J.String "sequential";
+                  ( "trie",
+                    J.Obj
+                      [
+                        "variant", J.String "basic-pc-ap";
+                        "minor_words_per_doc", J.Float 0.;
+                        "runs_per_doc", J.Float runs;
+                        "rows_filled_per_run", J.Float rows_per_run;
+                        "rebuilds_on_duplicate_add", J.Int 0;
+                        "identical_matches", J.Bool identical;
+                      ] );
+                ] );
+          ] );
+    ]
+
+let test_trie_row_gates () =
+  let base = trie_doc () in
+  check_ok "same profile" true (C.compare_json ~gate_timing:false base (trie_doc ()));
+  check_ok "rows copied eagerly again" false
+    (C.compare_json ~gate_timing:false base (trie_doc ~rows_per_run:4.5 ()));
+  check_ok "covering lost" false
+    (C.compare_json ~gate_timing:false base (trie_doc ~runs:200. ()));
+  check_ok "trie diverged from the flat pass" false
+    (C.compare_json ~gate_timing:false base (trie_doc ~identical:false ()))
+
 let test_host_mismatch () =
   let v = C.compare_json (doc ~cores:1 ()) (doc ~cores:8 ()) in
   Alcotest.(check bool) "core-count change is incomparable" true
@@ -203,6 +243,7 @@ let () =
           Alcotest.test_case "throughput regression" `Quick test_throughput_regression;
           Alcotest.test_case "identity invariant" `Quick test_must_hold;
           Alcotest.test_case "deep join gates" `Quick test_deep_join_gates;
+          Alcotest.test_case "trie row gates" `Quick test_trie_row_gates;
           Alcotest.test_case "host mismatch" `Quick test_host_mismatch;
           Alcotest.test_case "gate-timing off" `Quick test_gate_timing_off;
           Alcotest.test_case "run exit codes" `Quick test_run_exit_codes;

@@ -181,6 +181,68 @@ let prop_workload_nested_oracle =
             sids)
         docs)
 
+(* Removing a nested expression retires its sub-expressions: after 1000
+   subscribe/remove pairs the live-sub count is back where it started and
+   the match sets equal a fresh filter's. *)
+let test_remove_retires_subs () =
+  let dtd = Pf_workload.Dtd.psd_like () in
+  let nested seed count =
+    Pf_workload.Xpath_gen.generate dtd
+      { Pf_workload.Xpath_gen.default with
+        Pf_workload.Xpath_gen.count; nested_prob = 0.5; seed }
+    |> List.filter (fun p -> not (Pf_xpath.Ast.is_single_path p))
+  in
+  let docs =
+    Pf_workload.Xml_gen.generate_many dtd
+      { Pf_workload.Xml_gen.default with Pf_workload.Xml_gen.seed = 5 }
+      6
+  in
+  let filter () =
+    let idx = Predicate_index.create () in
+    idx, Nested.create idx, Predicate_index.create_results ()
+  in
+  let add n ~sid p = match Nested.add n ~sid p with () -> true | exception Encoder.Unsupported _ -> false in
+  let run (idx, n, res) d =
+    Nested.begin_document n;
+    List.iter
+      (fun path ->
+        let pub = Publication.of_path path in
+        Predicate_index.run idx res pub;
+        Nested.observe_path n res pub)
+      (Pf_xml.Path.of_document d);
+    let got = ref [] in
+    Nested.finish_document n ~on_match:(fun sid -> got := sid :: !got);
+    List.sort compare !got
+  in
+  let base = List.filteri (fun i _ -> i < 20) (nested 1 60) in
+  let ((_, fresh_n, _) as fresh) = filter () in
+  let ((_, n, _) as churned) = filter () in
+  List.iteri (fun sid p -> ignore (add fresh_n ~sid p : bool); ignore (add n ~sid p : bool)) base;
+  let c0 = Nested.sub_expression_count n in
+  let churn = List.filteri (fun i _ -> i < 1000) (nested 2 4000) in
+  Alcotest.(check int) "1000 churn expressions" 1000 (List.length churn);
+  (* subscribe each, keep a window of 50 live, then drain *)
+  let added = Queue.create () in
+  List.iteri
+    (fun i p ->
+      let sid = 1000 + i in
+      if add n ~sid p then Queue.add sid added;
+      if Queue.length added > 50 then
+        Alcotest.(check bool) "remove" true (Nested.remove n ~sid:(Queue.pop added));
+      if i mod 250 = 0 then ignore (run churned (List.hd docs) : int list))
+    churn;
+  Alcotest.(check bool) "churn subs were live" true (Nested.sub_expression_count n > c0);
+  Queue.iter (fun sid -> Alcotest.(check bool) "drain" true (Nested.remove n ~sid)) added;
+  Alcotest.(check bool) "removed once" false (Nested.remove n ~sid:1000);
+  Alcotest.(check int) "live subs back to the start" c0 (Nested.sub_expression_count n);
+  Alcotest.(check int) "expressions back to the start"
+    (Nested.expression_count fresh_n) (Nested.expression_count n);
+  Alcotest.(check bool) "some base expression matches" true
+    (List.exists (fun d -> run fresh d <> []) docs);
+  List.iter
+    (fun d -> Alcotest.(check (list int)) "matches = fresh filter" (run fresh d) (run churned d))
+    docs
+
 let () =
   Alcotest.run "nested"
     [
@@ -209,6 +271,7 @@ let () =
           Alcotest.test_case "attrs across levels" `Quick test_nested_mixed_attr_levels;
           Alcotest.test_case "text() inside nested" `Quick test_nested_text_filters;
           Alcotest.test_case "mixed with single paths" `Quick test_mixed_with_single_paths;
+          Alcotest.test_case "remove retires sub-expressions" `Quick test_remove_retires_subs;
         ] );
       ( "properties",
         List.map Gen_helpers.to_alcotest
